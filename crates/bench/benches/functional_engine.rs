@@ -65,7 +65,47 @@ fn block_store(c: &mut Criterion) {
             store.read(Lba(100), &mut out).unwrap();
         })
     });
+    // One-copy media → pinned-target reads of random 4 KiB blocks, the
+    // read path of a simulated device command.
+    let (store, lbas) = preloaded_store();
+    let region = PinnedRegion::new(0, 4 << 20);
+    g.sample_size(200);
+    g.throughput(Throughput::Bytes(64 * 4096));
+    let mut window = lbas.chunks(64).cycle();
+    g.bench_function("random_read_4k_into_dma", |b| {
+        b.iter(|| {
+            for (i, &lba) in window.next().unwrap().iter().enumerate() {
+                // One block is always one slice.
+                store
+                    .read_with(Lba(lba), 1, &mut |chunk| {
+                        region.dma_write(i as u64 * 4096, chunk).unwrap()
+                    })
+                    .unwrap();
+            }
+        })
+    });
     g.finish();
+}
+
+/// A fully written 64 MiB store of 4 KiB blocks and a fixed pseudo-random
+/// sequence of its block numbers.
+fn preloaded_store() -> (SparseMemStore, Vec<u64>) {
+    const BLOCKS: u64 = 16 * 1024;
+    let store = SparseMemStore::new(BlockGeometry::new(4096, BLOCKS));
+    let chunk = vec![0x3Cu8; 256 * 4096];
+    for start in (0..BLOCKS).step_by(256) {
+        store.write(Lba(start), &chunk).unwrap();
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let lbas = (0..1024)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % BLOCKS
+        })
+        .collect();
+    (store, lbas)
 }
 
 fn cam_batch_round_trip(c: &mut Criterion) {
@@ -121,6 +161,35 @@ fn device_service_throughput(c: &mut Criterion) {
         b.iter(|| {
             for i in 0..128u16 {
                 qp.push_sqe(Sqe::read(i, (i as u64) % 1024, 1, (i as u64) * 4096))
+                    .unwrap();
+            }
+            qp.ring_doorbell();
+            let mut done = 0;
+            while done < 128 {
+                if qp.poll_cqe().is_some() {
+                    done += 1;
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        })
+    });
+    // Random reads over fully written media, each into its own DMA page.
+    drop(dev);
+    let (store, lbas) = preloaded_store();
+    let dma = Arc::new(PinnedRegion::new(0, 4 << 20));
+    let dev = cam_nvme::NvmeDevice::start(
+        cam_nvme::DeviceConfig::default(),
+        Arc::new(store),
+        dma as Arc<dyn DmaSpace>,
+    );
+    let qp = dev.add_queue_pair(256);
+    let mut window = lbas.chunks(128).cycle();
+    g.sample_size(200);
+    g.bench_function("service_128_random_reads", |b| {
+        b.iter(|| {
+            for (i, &lba) in window.next().unwrap().iter().enumerate() {
+                qp.push_sqe(Sqe::read(i as u16, lba, 1, i as u64 * 4096))
                     .unwrap();
             }
             qp.ring_doorbell();

@@ -8,7 +8,9 @@
 //! * [`BlockStore`] — the storage trait the simulated NVMe namespaces and
 //!   all I/O backends read from and write to;
 //! * [`SparseMemStore`] — a thread-safe, sparse, in-memory store standing in
-//!   for a multi-terabyte SSD (only touched blocks consume host memory);
+//!   for a multi-terabyte SSD: media in 64 KiB extents created on first
+//!   write, and reads that lend those extents out through
+//!   [`BlockStore::read_with`] instead of copying them;
 //! * [`Raid0`] — stripe aggregation across stores, used to present multiple
 //!   SSDs as one address space (the paper's POSIX baseline uses RAID 0, and
 //!   CAM itself stripes batches across SSDs);

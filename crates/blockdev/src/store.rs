@@ -1,8 +1,9 @@
 //! The [`BlockStore`] trait and the sparse in-memory implementation that
 //! stands in for multi-terabyte SSD media.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
@@ -75,6 +76,27 @@ pub trait BlockStore: Send + Sync {
     /// Writes `buf.len() / block_size` blocks starting at `lba`.
     fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError>;
 
+    /// Reads `count` blocks starting at `lba` and hands them to `sink` as
+    /// in-order, block-aligned slices whose concatenation is the range.
+    ///
+    /// Errors are reported before the first slice reaches the sink, so a
+    /// failed read hands over nothing. A store whose media is addressable
+    /// memory overrides this to lend its media out without a copy; the
+    /// default reads into one bounce buffer through [`BlockStore::read`]
+    /// and hands that over whole, so wrappers keep their `read` semantics.
+    /// The sink must not call back into the store.
+    fn read_with(
+        &self,
+        lba: Lba,
+        count: u64,
+        sink: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), BlockError> {
+        let mut buf = vec![0u8; byte_len(self.geometry(), lba, count)?];
+        self.read(lba, &mut buf)?;
+        sink(&buf);
+        Ok(())
+    }
+
     /// Validates an access and returns its block count.
     fn check_access(&self, lba: Lba, len: usize) -> Result<u64, BlockError> {
         let g = self.geometry();
@@ -96,30 +118,101 @@ pub trait BlockStore: Send + Sync {
     }
 }
 
-/// A sparse, sharded, thread-safe in-memory block store.
+/// Bytes in `count` blocks, or the error an access that large reports.
+fn byte_len(g: BlockGeometry, lba: Lba, count: u64) -> Result<usize, BlockError> {
+    usize::try_from(count)
+        .ok()
+        .and_then(|c| c.checked_mul(g.block_size as usize))
+        .ok_or(BlockError::OutOfRange {
+            lba,
+            count,
+            blocks: g.blocks,
+        })
+}
+
+/// Bytes of media per extent. Extents stay below the allocator's mmap
+/// threshold (128 KiB in glibc), so a torn-down store's extents are reused
+/// from the heap instead of being unmapped and faulted in again as fresh
+/// zero pages by the next store.
+const EXTENT_BYTES: usize = 64 * 1024;
+
+/// Extents per second-level table: 256 MiB of media per first-level slot,
+/// which keeps an untouched 3.84 TB namespace's first level under 350 KiB.
+const LEAF_EXTENTS: u64 = 4096;
+
+/// What an unmaterialised extent reads as.
+static ZEROS: [u8; EXTENT_BYTES] = [0; EXTENT_BYTES];
+
+/// One extent of media and which of its blocks were ever written.
+struct Extent {
+    bytes: Box<[u8]>,
+    written: Box<[u64]>,
+}
+
+impl Extent {
+    fn new(blocks: usize) -> Self {
+        Extent {
+            bytes: vec![0u8; EXTENT_BYTES].into_boxed_slice(),
+            written: vec![0u64; blocks.div_ceil(64)].into_boxed_slice(),
+        }
+    }
+
+    /// Marks blocks `first..first + n` written; returns how many were not.
+    fn mark_written(&mut self, first: usize, n: usize) -> usize {
+        let mut fresh = 0;
+        for b in first..first + n {
+            let (word, bit) = (b / 64, 1u64 << (b % 64));
+            if self.written[word] & bit == 0 {
+                self.written[word] |= bit;
+                fresh += 1;
+            }
+        }
+        fresh
+    }
+}
+
+/// A second-level table: one lazily created extent per slot.
+type Leaf = Box<[OnceLock<Mutex<Extent>>]>;
+
+/// A sparse, thread-safe in-memory block store.
 ///
-/// Only blocks that have been written consume memory, so a simulated
-/// 3.84 TB P5510 namespace costs nothing until data lands on it. Shard
-/// locks keep concurrent device threads off each other's necks.
+/// Media lives in fixed 64 KiB extents, created on the first write that
+/// touches them and found by index arithmetic through a two-level table,
+/// so a simulated 3.84 TB P5510 namespace costs only its first-level table
+/// until data lands on it. Writes overwrite in place. Each extent has its
+/// own lock, so concurrent device threads contend only on the same 64 KiB.
+/// [`BlockStore::read_with`] lends extent bytes to the sink directly.
 pub struct SparseMemStore {
     geometry: BlockGeometry,
-    shards: Vec<Mutex<HashMap<u64, Box<[u8]>>>>,
-    shard_mask: u64,
+    /// log2 of blocks per extent.
+    extent_shift: u32,
+    /// First level: one lazily created leaf per `LEAF_EXTENTS` extents.
+    leaves: Box<[OnceLock<Leaf>]>,
+    /// Distinct blocks ever written.
+    resident: AtomicUsize,
 }
 
 impl SparseMemStore {
-    /// Default number of lock shards (power of two).
-    const SHARDS: usize = 64;
-
     /// Creates an empty store with the given geometry.
+    ///
+    /// # Panics
+    /// If the block size exceeds the 64 KiB extent.
     pub fn new(geometry: BlockGeometry) -> Self {
-        let shards = (0..Self::SHARDS)
-            .map(|_| Mutex::new(HashMap::new()))
+        let bs = geometry.block_size as usize;
+        assert!(
+            bs <= EXTENT_BYTES,
+            "block size {bs} exceeds the {EXTENT_BYTES}-byte extent"
+        );
+        let extent_shift = (EXTENT_BYTES / bs).trailing_zeros();
+        let n_extents = geometry.blocks.div_ceil(1 << extent_shift);
+        let leaves = (0..n_extents.div_ceil(LEAF_EXTENTS))
+            .map(|_| OnceLock::new())
             .collect();
         SparseMemStore {
             geometry,
-            shards,
-            shard_mask: (Self::SHARDS - 1) as u64,
+            extent_shift,
+            leaves,
+            resident: AtomicUsize::new(0),
         }
     }
 
@@ -128,15 +221,40 @@ impl SparseMemStore {
         Self::new(BlockGeometry::with_capacity_bytes(4096, bytes))
     }
 
-    #[inline]
-    fn shard(&self, block: u64) -> &Mutex<HashMap<u64, Box<[u8]>>> {
-        // Mix the low bits a little so striped access doesn't hammer one shard.
-        &self.shards[((block ^ (block >> 7)) & self.shard_mask) as usize]
+    /// Number of distinct blocks written so far.
+    pub fn resident_blocks(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
     }
 
-    /// Number of blocks currently materialized in memory.
-    pub fn resident_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+    /// Extent `e`, if it has been written to.
+    #[inline]
+    fn extent(&self, e: u64) -> Option<&Mutex<Extent>> {
+        self.leaves[(e / LEAF_EXTENTS) as usize].get()?[(e % LEAF_EXTENTS) as usize].get()
+    }
+
+    /// Extent `e`, created (zeroed) on first use.
+    fn extent_or_create(&self, e: u64) -> &Mutex<Extent> {
+        let leaf_index = e / LEAF_EXTENTS;
+        let leaf = self.leaves[leaf_index as usize].get_or_init(|| {
+            let n_extents = self.geometry.blocks.div_ceil(1 << self.extent_shift);
+            let len = (n_extents - leaf_index * LEAF_EXTENTS).min(LEAF_EXTENTS);
+            (0..len).map(|_| OnceLock::new()).collect()
+        });
+        leaf[(e % LEAF_EXTENTS) as usize]
+            .get_or_init(|| Mutex::new(Extent::new(1 << self.extent_shift)))
+    }
+
+    /// Splits the blocks `lba..lba + count` at extent boundaries and calls
+    /// `f(extent, first block in extent, blocks)` for each piece, in order.
+    fn for_each_extent(&self, lba: Lba, count: u64, mut f: impl FnMut(u64, usize, usize)) {
+        let per_extent = 1u64 << self.extent_shift;
+        let (mut block, end) = (lba.0, lba.0 + count);
+        while block < end {
+            let first = block & (per_extent - 1);
+            let n = (per_extent - first).min(end - block);
+            f(block >> self.extent_shift, first as usize, n as usize);
+            block += n;
+        }
     }
 }
 
@@ -147,28 +265,40 @@ impl BlockStore for SparseMemStore {
 
     fn read(&self, lba: Lba, buf: &mut [u8]) -> Result<(), BlockError> {
         let count = self.check_access(lba, buf.len())?;
-        let bs = self.geometry.block_size as usize;
-        for i in 0..count {
-            let block = lba.0 + i;
-            let dst = &mut buf[i as usize * bs..(i as usize + 1) * bs];
-            match self.shard(block).lock().get(&block) {
-                Some(data) => dst.copy_from_slice(data),
-                None => dst.fill(0),
-            }
-        }
-        Ok(())
+        let mut rest = buf;
+        self.read_with(lba, count, &mut |chunk| {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(chunk.len());
+            dst.copy_from_slice(chunk);
+            rest = tail;
+        })
     }
 
     fn write(&self, lba: Lba, buf: &[u8]) -> Result<(), BlockError> {
         let count = self.check_access(lba, buf.len())?;
         let bs = self.geometry.block_size as usize;
-        for i in 0..count {
-            let block = lba.0 + i;
-            let src = &buf[i as usize * bs..(i as usize + 1) * bs];
-            self.shard(block)
-                .lock()
-                .insert(block, src.to_vec().into_boxed_slice());
-        }
+        let (mut at, mut fresh) = (0, 0);
+        self.for_each_extent(lba, count, |e, first, n| {
+            let mut x = self.extent_or_create(e).lock();
+            x.bytes[first * bs..(first + n) * bs].copy_from_slice(&buf[at..at + n * bs]);
+            fresh += x.mark_written(first, n);
+            at += n * bs;
+        });
+        self.resident.fetch_add(fresh, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn read_with(
+        &self,
+        lba: Lba,
+        count: u64,
+        sink: &mut dyn FnMut(&[u8]),
+    ) -> Result<(), BlockError> {
+        self.check_access(lba, byte_len(self.geometry, lba, count)?)?;
+        let bs = self.geometry.block_size as usize;
+        self.for_each_extent(lba, count, |e, first, n| match self.extent(e) {
+            Some(x) => sink(&x.lock().bytes[first * bs..(first + n) * bs]),
+            None => sink(&ZEROS[..n * bs]),
+        });
         Ok(())
     }
 }
@@ -180,6 +310,15 @@ mod tests {
 
     fn store() -> SparseMemStore {
         SparseMemStore::new(BlockGeometry::new(512, 1000))
+    }
+
+    fn materialised_extents(s: &SparseMemStore) -> usize {
+        s.leaves
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|leaf| leaf.iter())
+            .filter(|x| x.get().is_some())
+            .count()
     }
 
     #[test]
@@ -263,6 +402,87 @@ mod tests {
             assert!(buf.iter().all(|&b| b == t as u8 + 1));
         }
         assert_eq!(s.resident_blocks(), 8 * 512);
+    }
+
+    #[test]
+    fn overwrites_land_in_place_and_count_blocks_once() {
+        let s = store();
+        s.write(Lba(0), &[1u8; 2048]).unwrap();
+        s.write(Lba(2), &[2u8; 1024]).unwrap();
+        assert_eq!(s.resident_blocks(), 4);
+        assert_eq!(materialised_extents(&s), 1);
+        let mut out = vec![0u8; 2048];
+        s.read(Lba(0), &mut out).unwrap();
+        assert!(out[..1024].iter().all(|&b| b == 1));
+        assert!(out[1024..].iter().all(|&b| b == 2));
+    }
+
+    #[test]
+    fn read_with_splits_at_extent_boundaries() {
+        // 16 blocks of 4 KiB per extent; blocks 10..30 span two extents,
+        // the second of which was never written.
+        let s = SparseMemStore::new(BlockGeometry::new(4096, 64));
+        s.write(Lba(10), &[9u8; 6 * 4096]).unwrap();
+        let mut sizes = Vec::new();
+        let mut bytes = Vec::new();
+        s.read_with(Lba(10), 20, &mut |chunk| {
+            sizes.push(chunk.len());
+            bytes.extend_from_slice(chunk);
+        })
+        .unwrap();
+        assert_eq!(sizes, [6 * 4096, 14 * 4096]);
+        let mut expect = vec![0u8; 20 * 4096];
+        s.read(Lba(10), &mut expect).unwrap();
+        assert_eq!(bytes, expect);
+        assert!(bytes[..6 * 4096].iter().all(|&b| b == 9));
+        assert!(bytes[6 * 4096..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn failed_read_with_hands_over_nothing() {
+        let s = store();
+        let mut calls = 0;
+        let mut sink = |_: &[u8]| calls += 1;
+        assert!(matches!(
+            s.read_with(Lba(999), 2, &mut sink),
+            Err(BlockError::OutOfRange { count: 2, .. })
+        ));
+        assert!(matches!(
+            s.read_with(Lba(0), 0, &mut sink),
+            Err(BlockError::BadBuffer { len: 0, .. })
+        ));
+        assert!(matches!(
+            s.read_with(Lba(1), u64::MAX, &mut sink),
+            Err(BlockError::OutOfRange { .. })
+        ));
+        assert_eq!(calls, 0);
+    }
+
+    #[test]
+    fn untouched_multi_terabyte_namespace_stays_small() {
+        for block_size in [512, 4096] {
+            let g = BlockGeometry::with_capacity_bytes(block_size, 3_840_000_000_000);
+            let s = SparseMemStore::new(g);
+            let mut buf = vec![0xAAu8; 2 * block_size as usize];
+            s.read(Lba(g.blocks - 2), &mut buf).unwrap();
+            assert!(buf.iter().all(|&b| b == 0));
+            s.read_with(Lba(g.blocks / 2), 3, &mut |chunk| {
+                assert!(chunk.iter().all(|&b| b == 0))
+            })
+            .unwrap();
+            // Reads never materialise anything: the first-level table is
+            // the whole footprint.
+            assert!(s.leaves.iter().all(|l| l.get().is_none()));
+            let table = s.leaves.len() * std::mem::size_of::<OnceLock<Leaf>>();
+            assert!(table <= 1 << 20, "first-level table is {table} bytes");
+            assert_eq!(s.resident_blocks(), 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds")]
+    fn blocks_larger_than_an_extent_rejected() {
+        SparseMemStore::new(BlockGeometry::new(128 * 1024, 4));
     }
 
     #[test]

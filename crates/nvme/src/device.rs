@@ -114,6 +114,9 @@ struct Shared {
     store: Arc<dyn BlockStore>,
     dma: Arc<dyn DmaSpace>,
     qps: RwLock<Vec<Arc<QueuePair>>>,
+    /// Bumped after every change to `qps`, so service threads rebuild
+    /// their share of the list only when it changed.
+    qps_generation: AtomicU64,
     stop: AtomicBool,
     stats: DeviceStats,
     telemetry: OnceLock<DeviceTelemetry>,
@@ -141,6 +144,7 @@ impl NvmeDevice {
             store,
             dma,
             qps: RwLock::new(Vec::new()),
+            qps_generation: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             stats: DeviceStats::default(),
             telemetry: OnceLock::new(),
@@ -169,6 +173,7 @@ impl NvmeDevice {
             qp.attach_recorder(Arc::clone(rec));
         }
         qps.push(Arc::clone(&qp));
+        self.shared.qps_generation.fetch_add(1, Ordering::Release);
         qp
     }
 
@@ -246,16 +251,24 @@ impl Drop for NvmeDevice {
 fn service_loop(sh: &Shared, tid: usize) {
     let mut scratch: Vec<u8> = Vec::new();
     let mut idle_rounds = 0u32;
+    let mut qps: Vec<Arc<QueuePair>> = Vec::new();
+    let mut seen_generation = 0;
     while !sh.stop.load(Ordering::Acquire) {
-        let qps: Vec<Arc<QueuePair>> = {
-            let guard = sh.qps.read();
-            guard
+        // The generation is bumped under the write lock after the push, so
+        // a list read after loading generation `g` holds every pair added
+        // before `g`; a later addition bumps it again.
+        let generation = sh.qps_generation.load(Ordering::Acquire);
+        if generation != seen_generation {
+            seen_generation = generation;
+            qps = sh
+                .qps
+                .read()
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| i % sh.config.service_threads == tid)
                 .map(|(_, qp)| Arc::clone(qp))
-                .collect()
-        };
+                .collect();
+        }
         let mut serviced = 0;
         for qp in &qps {
             let mut burst = 0;
@@ -315,19 +328,16 @@ fn execute(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
             start_ns: start,
         });
     }
+    let bytes = || sqe.nlb as u64 * sh.store.geometry().block_size as u64;
     match status {
         Status::Success => match sqe.opcode {
             Opcode::Read => {
                 sh.stats.reads.fetch_add(1, Ordering::Relaxed);
-                sh.stats
-                    .read_bytes
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+                sh.stats.read_bytes.fetch_add(bytes(), Ordering::Relaxed);
             }
             Opcode::Write => {
                 sh.stats.writes.fetch_add(1, Ordering::Relaxed);
-                sh.stats
-                    .write_bytes
-                    .fetch_add(scratch.len() as u64, Ordering::Relaxed);
+                sh.stats.write_bytes.fetch_add(bytes(), Ordering::Relaxed);
             }
             Opcode::Flush => {}
         },
@@ -338,43 +348,55 @@ fn execute(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
     status
 }
 
+/// Executes one command. Reads stream media slices straight into DMA space
+/// (one copy, media → pinned target, as an SSD's DMA engine would); writes
+/// stage the DMA source in `scratch`, which is reused and never re-zeroed.
+///
+/// Status precedence: size errors, then the store's own errors (LBA range,
+/// media), then DMA errors — except that a write reads its DMA source
+/// before the store sees it. DMA is all-or-nothing: a read's target range
+/// is checked whole before the first byte lands.
 fn execute_inner(sh: &Shared, sqe: &Sqe, scratch: &mut Vec<u8>) -> Status {
-    match sqe.opcode {
-        Opcode::Flush => {
-            // The in-memory media is always durable; flush is a barrier that
-            // completes after everything the service thread already executed.
-            scratch.clear();
-            Status::Success
+    if sqe.opcode == Opcode::Flush {
+        // The in-memory media is always durable; flush is a barrier that
+        // completes after everything the service thread already executed.
+        return Status::Success;
+    }
+    if sqe.nlb == 0 || sqe.nlb > sh.config.max_transfer_blocks {
+        return Status::InvalidField;
+    }
+    let bytes = sqe.nlb as usize * sh.store.geometry().block_size as usize;
+    let lba = Lba(sqe.slba);
+    if sqe.opcode == Opcode::Read {
+        // Checked at the first slice, which the store hands over only once
+        // it has reported its own errors.
+        let mut dma_ok = None;
+        let mut addr = sqe.data_addr;
+        let read = sh.store.read_with(lba, sqe.nlb as u64, &mut |chunk| {
+            if *dma_ok.get_or_insert_with(|| sh.dma.contains(sqe.data_addr, bytes)) {
+                dma_ok = Some(sh.dma.dma_write(addr, chunk).is_ok());
+            }
+            addr += chunk.len() as u64;
+        });
+        if let Err(e) = read {
+            return block_err_status(e);
         }
-        Opcode::Read | Opcode::Write => {
-            if sqe.nlb == 0 || sqe.nlb > sh.config.max_transfer_blocks {
-                scratch.clear();
-                return Status::InvalidField;
-            }
-            let bs = sh.store.geometry().block_size as usize;
-            let bytes = sqe.nlb as usize * bs;
-            scratch.clear();
+        if dma_ok != Some(true) {
+            return Status::DataTransferError;
+        }
+    } else {
+        if scratch.len() < bytes {
             scratch.resize(bytes, 0);
-            if sqe.opcode == Opcode::Read {
-                match sh.store.read(Lba(sqe.slba), scratch) {
-                    Ok(()) => {}
-                    Err(e) => return block_err_status(e),
-                }
-                if sh.dma.dma_write(sqe.data_addr, scratch).is_err() {
-                    return Status::DataTransferError;
-                }
-            } else {
-                if sh.dma.dma_read(sqe.data_addr, scratch).is_err() {
-                    return Status::DataTransferError;
-                }
-                match sh.store.write(Lba(sqe.slba), scratch) {
-                    Ok(()) => {}
-                    Err(e) => return block_err_status(e),
-                }
-            }
-            Status::Success
+        }
+        let buf = &mut scratch[..bytes];
+        if sh.dma.dma_read(sqe.data_addr, buf).is_err() {
+            return Status::DataTransferError;
+        }
+        if let Err(e) = sh.store.write(lba, buf) {
+            return block_err_status(e);
         }
     }
+    Status::Success
 }
 
 fn block_err_status(e: BlockError) -> Status {
@@ -493,6 +515,93 @@ mod tests {
         let qp = dev.add_queue_pair(8);
         qp.submit(Sqe::read(1, 0, 1, 0xDEAD_BEEF_0000)).unwrap();
         assert_eq!(wait_cqe(&qp).status, Status::DataTransferError);
+    }
+
+    #[test]
+    fn lba_errors_take_precedence_over_dma_errors_on_reads() {
+        let (dev, _dma) = setup();
+        let qp = dev.add_queue_pair(8);
+        qp.submit(Sqe::read(1, 4095, 2, 0xDEAD_BEEF_0000)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::LbaOutOfRange);
+    }
+
+    #[test]
+    fn read_running_past_the_region_end_lands_nothing() {
+        let (dev, dma) = setup();
+        dev.store().write(Lba(126), &[0x5Au8; 4 * 512]).unwrap();
+        let qp = dev.add_queue_pair(8);
+        // Four blocks aimed at the last 1 KiB of the region. They straddle
+        // an extent boundary (128 blocks of 512 B), so the media hands them
+        // over in two slices: the first would fit, the second would not.
+        let end = dma.base() + dma.len() as u64;
+        qp.submit(Sqe::read(1, 126, 4, end - 1024)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::DataTransferError);
+        let mut tail = vec![0xFFu8; 1024];
+        dma.dma_read(end - 1024, &mut tail).unwrap();
+        assert!(tail.iter().all(|&b| b == 0), "no byte may land");
+        assert_eq!(dev.stats().reads(), 0);
+    }
+
+    #[test]
+    fn read_across_extent_and_page_boundaries_round_trips() {
+        let (dev, dma) = setup();
+        // 512-byte blocks: 128 per 64 KiB extent, so blocks 120..140 span
+        // two extents; block 135 onwards was never written.
+        let data: Vec<u8> = (0..15 * 512).map(|i| (i % 251) as u8 + 1).collect();
+        dev.store().write(Lba(120), &data).unwrap();
+        let qp = dev.add_queue_pair(8);
+        let target = dma.base() + 4096 - 3 * 512;
+        qp.submit(Sqe::read(1, 120, 20, target)).unwrap();
+        assert!(wait_cqe(&qp).status.is_ok());
+        let mut out = vec![0u8; 20 * 512];
+        dma.dma_read(target, &mut out).unwrap();
+        assert_eq!(&out[..data.len()], &data[..]);
+        assert!(out[data.len()..].iter().all(|&b| b == 0));
+        assert_eq!(dev.stats().read_bytes(), 20 * 512);
+    }
+
+    #[test]
+    fn faulty_media_errors_surface_through_the_default_read_path() {
+        use cam_blockdev::{FaultPolicy, FaultyStore};
+        let start = |policy| {
+            let inner: Arc<dyn BlockStore> =
+                Arc::new(SparseMemStore::new(BlockGeometry::new(512, 4096)));
+            let dma = Arc::new(PinnedRegion::new(0x1_0000, 1 << 20));
+            let dev = NvmeDevice::start(
+                DeviceConfig::default(),
+                Arc::new(FaultyStore::new(inner, policy)),
+                dma as Arc<dyn DmaSpace>,
+            );
+            let qp = dev.add_queue_pair(8);
+            (dev, qp)
+        };
+        let (_dev, qp) = start(FaultPolicy::transient_reads_in(0, 8, 1));
+        qp.submit(Sqe::read(1, 2, 1, 0x1_0000)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::TransientMediaError);
+        qp.submit(Sqe::read(2, 2, 1, 0x1_0000)).unwrap();
+        assert!(wait_cqe(&qp).status.is_ok());
+        // The media error wins over a bad DMA address, as before.
+        qp.submit(Sqe::read(3, 3, 1, 0xDEAD_BEEF_0000)).unwrap();
+        assert_eq!(wait_cqe(&qp).status, Status::TransientMediaError);
+        // Permanent faults are reported as addressing failures.
+        let (_dev, qp) = start(FaultPolicy::reads_in(0, 8));
+        for cid in 0..3 {
+            qp.submit(Sqe::read(cid, 4, 1, 0x1_0000)).unwrap();
+            assert_eq!(wait_cqe(&qp).status, Status::LbaOutOfRange);
+        }
+    }
+
+    #[test]
+    fn queue_pairs_added_while_running_are_serviced() {
+        let (dev, _dma) = setup();
+        for cid in 0..4u16 {
+            // Each pair is created after the service thread has settled on
+            // the previous list.
+            let qp = dev.add_queue_pair(8);
+            qp.submit(Sqe::read(cid, 0, 1, 0x1_0000)).unwrap();
+            assert!(wait_cqe(&qp).status.is_ok());
+        }
+        assert_eq!(dev.stats().reads(), 4);
     }
 
     #[test]
