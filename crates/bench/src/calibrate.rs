@@ -2,10 +2,12 @@
 //! cost as a function of batch size and fits the linear model
 //! ([`CpuPipeModel`]) the DES charges in virtual time.
 //!
-//! The DES models the poller's fan-out as `base + per_req · requests`
-//! nanoseconds on a single dispatcher pipe. Those two constants must come
-//! from measurement, not guesswork: this module drives the real
-//! `CamContext` poller over a sweep of batch sizes with a flight recorder
+//! The DES models the engine's dispatch stage — a worker's doorbell pickup
+//! and planning through the accept of each per-SSD group by the worker
+//! owning that SSD — as `base + per_req · requests` nanoseconds on a
+//! single dispatcher pipe. Those two constants must come from
+//! measurement, not guesswork: this module drives the real `CamContext`
+//! engine over a sweep of batch sizes with a flight recorder
 //! attached, joins each retired batch's dispatch-stage attribution
 //! ([`critical::analyze`]) with its doorbell's request count, and fits the
 //! line through the per-size **lower quartiles**. Wall-clock dispatch noise
@@ -28,7 +30,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use cam_core::{CamConfig, CamContext, ThreadModel};
+use cam_core::{CamConfig, CamContext};
 use cam_iostacks::{CpuPipeModel, Rig, RigConfig};
 use cam_telemetry::critical;
 use cam_telemetry::{EventKind, FlightRecorder, Stage};
@@ -132,14 +134,10 @@ pub fn measure_dispatch(rounds_per_size: u64) -> Vec<(u64, u64)> {
         recorder: Some(Arc::clone(&recorder)),
         ..Default::default()
     };
-    // Pinned to the legacy poller engine: `CpuPipeModel` is fitted on the
-    // poller's Dispatch hop, and the drift gate compares against baselines
-    // captured there. The thread-per-core engine has no separate hop.
-    let cfg = CamConfig {
-        thread_model: ThreadModel::CentralPoller,
-        ..CamConfig::default()
-    };
-    let cam = CamContext::attach_observed(&rig, cfg, obs);
+    // Default engine shape: two workers over four SSDs, so every batch's
+    // Dispatch stage covers planning plus the ring hop of the groups
+    // routed to the other worker.
+    let cam = CamContext::attach_observed(&rig, CamConfig::default(), obs);
     let dev = cam.device();
     let bs = cam.block_size() as usize;
     let max = *CALIBRATION_SIZES.iter().max().expect("sizes") as usize;

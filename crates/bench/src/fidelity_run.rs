@@ -33,7 +33,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cam_cache::{CacheConfig, CachedDevice};
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::cam_des::{
     run_cam_des, run_cam_des_cached, CamDesBatch, CamDesConfig, CamDesObs, CpuPipeModel,
 };
@@ -254,18 +254,16 @@ pub fn run_fidelity_experiment_seeded(rounds: u64, seed: u64) -> FidelityReport 
 }
 
 fn run_functional(pipelined: bool, channels: &[Vec<CamDesBatch>]) -> FidelityModeReport {
-    // One worker owning all SSDs, as in the pipeline experiment: any
-    // overlap must come from the reactor, not thread parallelism. Pinned
-    // to the legacy poller engine: the DES mirrors the poller's dispatch
-    // hop, and the decision-counter equality is asserted byte-identical
-    // against it. Thread-per-core planning parity is covered separately by
-    // `thread_per_core_planning_matches_the_plan_replay`.
-    run_functional_with(pipelined, ThreadModel::CentralPoller, 1, channels)
+    // One worker owning every channel and SSD, as in the pipeline
+    // experiment: any overlap must come from the reactor, not thread
+    // parallelism, and the DES's single dispatcher pipe plus one worker
+    // pipe is the matching shape. Cross-worker ring handoff is covered
+    // separately by `two_worker_planning_matches_the_plan_replay`.
+    run_functional_with(pipelined, 1, channels)
 }
 
 fn run_functional_with(
     pipelined: bool,
-    thread_model: ThreadModel,
     workers: usize,
     channels: &[Vec<CamDesBatch>],
 ) -> FidelityModeReport {
@@ -278,7 +276,7 @@ fn run_functional_with(
     assert_eq!(rig.block_size(), BLOCK_SIZE);
     let registry = Arc::new(MetricsRegistry::new());
     // The recorder is the group-count witness: one GroupDispatch event per
-    // non-empty per-SSD group the poller ships.
+    // non-empty per-SSD group a worker accepts.
     let recorder = Arc::new(FlightRecorder::new());
     let mut obs = Observability::with_registry(Arc::clone(&registry));
     obs.recorder = Some(Arc::clone(&recorder));
@@ -286,7 +284,6 @@ fn run_functional_with(
         n_channels: N_CHANNELS,
         workers: Some(workers),
         pipelined,
-        thread_model,
         ..CamConfig::default()
     };
     let cam = CamContext::attach_observed(&rig, cfg, obs);
@@ -374,14 +371,14 @@ fn run_functional_with(
     }
 }
 
-/// The SSD model the fidelity DES runs: a P5510 whose base read latency
-/// is replaced by the [`SERVICE_LATENCY`] the functional rig injects.
-/// The comparison probes *protocol* fidelity — both drivers must be
-/// looking at comparably slow devices, or the in-flight depth regimes
+/// The SSD model a DES run matched to a functional rig uses: a P5510
+/// whose base read latency is replaced by the `service_latency` the rig
+/// injects. The comparison probes *protocol* fidelity — both drivers must
+/// be looking at comparably slow devices, or the in-flight depth regimes
 /// diverge for reasons that have nothing to do with the drivers.
-fn rig_matched_ssd_model() -> SsdModel {
+pub(crate) fn rig_matched_ssd_model(service_latency: Duration) -> SsdModel {
     SsdModel {
-        read_latency: cam_simkit::Dur::ns(SERVICE_LATENCY.as_nanos() as u64),
+        read_latency: cam_simkit::Dur::ns(service_latency.as_nanos() as u64),
         ..SsdModel::p5510()
     }
 }
@@ -408,7 +405,7 @@ pub fn run_des(
             host_gbps: 21.0,
             retry: CamDesConfig::inert_retry(),
             fault: None,
-            ssd_model: rig_matched_ssd_model(),
+            ssd_model: rig_matched_ssd_model(SERVICE_LATENCY),
         },
         channels.to_vec(),
         recorder,
@@ -531,7 +528,6 @@ fn run_functional_cached(pipelined: bool, batches: &[Vec<u64>]) -> CachedModeRep
             n_channels: CACHED_N_CHANNELS,
             workers: Some(1),
             pipelined,
-            thread_model: ThreadModel::CentralPoller,
             ..CamConfig::default()
         },
         Observability::with_registry(Arc::clone(&registry)),
@@ -575,7 +571,7 @@ fn run_des_cached(pipelined: bool, batches: &[Vec<u64>], array_blocks: u64) -> C
             host_gbps: 21.0,
             retry: CamDesConfig::inert_retry(),
             fault: None,
-            ssd_model: rig_matched_ssd_model(),
+            ssd_model: rig_matched_ssd_model(SERVICE_LATENCY),
         },
         cached_cache_cfg(),
         array_blocks,
@@ -784,20 +780,20 @@ mod tests {
         }
     }
 
-    /// The thread-per-core engine makes *exactly* the planned decisions
-    /// too — sharded pickup, SPSC routing, and parking reorder work in
-    /// time but may not change what is planned, deduped, split, grouped,
-    /// or submitted. Two workers force cross-worker ring handoff (each
-    /// worker plans channels whose SSD groups are owned by the other).
+    /// Two workers make *exactly* the planned decisions too — sharded
+    /// pickup, SPSC routing, and parking reorder work in time but may not
+    /// change what is planned, deduped, split, grouped, or submitted. Two
+    /// workers force cross-worker ring handoff (each worker plans channels
+    /// whose SSD groups are owned by the other).
     #[test]
-    fn thread_per_core_planning_matches_the_plan_replay() {
+    fn two_worker_planning_matches_the_plan_replay() {
         let workload = fidelity_workload(6);
         let expected = expected_decisions(&workload);
         for pipelined in [true, false] {
-            let m = run_functional_with(pipelined, ThreadModel::ThreadPerCore, 2, &workload);
+            let m = run_functional_with(pipelined, 2, &workload);
             assert_eq!(
                 m.decisions, expected,
-                "thread-per-core (pipelined={pipelined}) diverged from the plan replay"
+                "two workers (pipelined={pipelined}) diverged from the plan replay"
             );
             assert_eq!(m.batches, expected.batches);
         }

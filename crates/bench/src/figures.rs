@@ -130,7 +130,7 @@ pub static EXPERIMENTS: &[(&str, &str, Generator)] = &[
     ),
     (
         "modes",
-        "Engine mode x load sweep: blocking vs pipelined vs thread-per-core, plus idle park ratio (writes the mode_load section of BENCH_repro.json)",
+        "Engine mode x load sweep: blocking vs pipelined, plus idle park ratio (writes the mode_load section of BENCH_repro.json)",
         modes,
     ),
 ];

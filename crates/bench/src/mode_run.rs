@@ -1,34 +1,32 @@
-//! Mode × load sweep: the three engine configurations — blocking,
-//! pipelined (both on the legacy central-poller engine), and
-//! thread-per-core — driven over the same closed-loop read workload at
-//! increasing channel counts, on a RAM-backed rig with *no* injected
-//! device latency. With the device fast, the control plane itself is the
-//! bottleneck, so the sweep measures exactly what the thread-per-core
-//! refactor changes: the doorbell→plan→dispatch hop structure. The legacy
-//! modes run their designed shape — one central poller plus
-//! `ENGINE_THREADS - 1` reactor workers; the thread-per-core engine runs
-//! what its name says — one worker per available core (capped at the same
-//! [`ENGINE_THREADS`] budget), with no poller thread at all.
+//! Mode × load sweep: the engine's two admission modes — blocking
+//! (one group at a time per worker) and pipelined (commands from several
+//! batches share the queue depth) — driven over the same closed-loop read
+//! workload at increasing channel counts, on a RAM-backed rig with *no*
+//! injected device latency. With the device fast, the control plane itself
+//! is the bottleneck, so the sweep measures the engine's
+//! doorbell→plan→dispatch→submit path rather than the media. Both modes run
+//! one run-to-completion worker per available core, capped at
+//! [`ENGINE_THREADS`].
 //!
 //! Each load point runs [`TRIALS`] times and keeps the best-throughput
 //! trial (wall-clock benches on shared CI runners are noisy downward,
 //! never upward). Trials are *interleaved across modes* — trial `t` runs
 //! every mode back-to-back before trial `t+1` — so a noise burst on a
 //! shared runner lands on all modes alike instead of biasing whichever
-//! mode ran during it. Alongside the sweep, [`measure_idle_park_ratio`] attaches
-//! an idle thread-per-core engine and reads `cam_worker_park_ratio{worker}`
-//! — the acceptance signal that idle workers park instead of spinning.
+//! mode ran during it. Alongside the sweep, [`measure_idle_park_ratio`]
+//! attaches an idle engine and reads `cam_worker_park_ratio{worker}` — the
+//! acceptance signal that idle workers park instead of spinning.
 //!
 //! The `"mode_load"` section of `BENCH_repro.json` records all of it; the
-//! CI perf-gate job asserts that thread-per-core throughput meets or beats
-//! the pipelined poller engine at the top load point, and that the idle
-//! park ratio clears [`IDLE_PARK_RATIO_FLOOR`].
+//! CI perf-gate job asserts that pipelined throughput meets or beats the
+//! blocking baseline at the top load point, and that the idle park ratio
+//! clears [`IDLE_PARK_RATIO_FLOOR`].
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cam_core::{CamConfig, CamContext, ChannelOp, ThreadModel};
+use cam_core::{CamConfig, CamContext, ChannelOp};
 use cam_iostacks::{Rig, RigConfig};
 use cam_telemetry::{MetricsRegistry, Observability};
 
@@ -36,25 +34,17 @@ use crate::Table;
 
 const N_SSDS: usize = 4;
 const N_CHANNELS: usize = 4;
-/// Control-plane thread ceiling. The legacy modes spend it as one central
-/// poller + `ENGINE_THREADS - 1` reactor workers — their designed shape,
-/// which cannot go below two threads. The thread-per-core engine sizes
-/// itself to the machine instead: one run-to-completion worker per
-/// available core, capped at this same ceiling, so it never uses *more*
-/// threads than the poller engine and on small hosts uses strictly fewer.
-/// That asymmetry is the refactor's claim made measurable: folding pickup
-/// and planning into the workers removes the poller thread entirely.
+/// Control-plane thread ceiling: the engine runs one worker per available
+/// core, up to this many.
 const ENGINE_THREADS: usize = 3;
 
-/// Worker-thread count a mode's `CamConfig` asks for.
-fn workers_for(thread_model: ThreadModel) -> usize {
-    match thread_model {
-        ThreadModel::CentralPoller => ENGINE_THREADS - 1,
-        ThreadModel::ThreadPerCore => std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(ENGINE_THREADS),
-    }
+/// Worker threads every mode's `CamConfig` asks for.
+fn workers() -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, std::num::NonZeroUsize::get)
+        .min(ENGINE_THREADS)
 }
+
 /// Single-block reads per batch.
 const BATCH_REQS: usize = 16;
 /// Concurrently driven channels per load point.
@@ -63,8 +53,8 @@ pub const LOADS: [usize; 3] = [1, 2, 4];
 /// Trials interleave across modes (see the module docs).
 const TRIALS: usize = 5;
 /// The idle-workload park-ratio floor the acceptance criteria (and the CI
-/// perf-gate job) assert: idle thread-per-core workers must spend > 90% of
-/// the window parked.
+/// perf-gate job) assert: idle workers must spend > 90% of the window
+/// parked.
 pub const IDLE_PARK_RATIO_FLOOR: f64 = 0.9;
 
 /// One (mode, load) measurement — best trial of [`TRIALS`].
@@ -84,7 +74,7 @@ pub struct ModePoint {
 
 /// One engine mode's sweep over [`LOADS`].
 pub struct ModeReport {
-    /// Mode id: `"blocking"`, `"pipelined"`, or `"thread_per_core"`.
+    /// Mode id: `"blocking"` or `"pipelined"`.
     pub mode: &'static str,
     /// One point per entry of [`LOADS`], in order.
     pub points: Vec<ModePoint>,
@@ -99,10 +89,9 @@ impl ModeReport {
 
 /// The full sweep plus the idle park-ratio measurement.
 pub struct ModeLoadReport {
-    /// Per-mode sweeps, in `[blocking, pipelined, thread_per_core]` order.
+    /// Per-mode sweeps, in `[blocking, pipelined]` order.
     pub modes: Vec<ModeReport>,
-    /// Minimum per-worker park ratio of an idle thread-per-core engine
-    /// (0..=1).
+    /// Minimum per-worker park ratio of an idle engine (0..=1).
     pub idle_park_ratio: f64,
     /// Each worker's idle park ratio (0..=1).
     pub idle_park_per_worker: Vec<f64>,
@@ -117,14 +106,14 @@ impl ModeLoadReport {
             .expect("known mode name")
     }
 
-    /// Thread-per-core over pipelined throughput at the top load point
-    /// (≥ 1 = the refactor pays for itself where it matters).
-    pub fn top_load_tpc_over_pipelined(&self) -> f64 {
-        let pipelined = self.mode("pipelined").top().rps;
-        if pipelined <= 0.0 {
+    /// Pipelined over blocking throughput at the top load point (≥ 1 =
+    /// pipelining pays for itself where it matters).
+    pub fn top_load_pipelined_over_blocking(&self) -> f64 {
+        let blocking = self.mode("blocking").top().rps;
+        if blocking <= 0.0 {
             return 0.0;
         }
-        self.mode("thread_per_core").top().rps / pipelined
+        self.mode("pipelined").top().rps / blocking
     }
 }
 
@@ -139,21 +128,15 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
 /// One trial of one (mode, load) point: `load` closed-loop driver threads,
 /// each submitting `rounds` batches of [`BATCH_REQS`] single-block reads
 /// on its own channel and waiting for each retire.
-fn run_point_once(
-    thread_model: ThreadModel,
-    pipelined: bool,
-    load: usize,
-    rounds: u64,
-) -> ModePoint {
+fn run_point_once(pipelined: bool, load: usize, rounds: u64) -> ModePoint {
     let rig = Rig::new(RigConfig {
         n_ssds: N_SSDS,
         ..RigConfig::default()
     });
     let cfg = CamConfig {
         n_channels: N_CHANNELS,
-        workers: Some(workers_for(thread_model)),
+        workers: Some(workers()),
         pipelined,
-        thread_model,
         ..CamConfig::default()
     };
     let registry = Arc::new(MetricsRegistry::new());
@@ -206,8 +189,7 @@ fn run_point_once(
     }
 }
 
-
-/// Attaches a thread-per-core engine, runs one warmup batch, lets the
+/// Attaches an engine, runs one warmup batch, lets the
 /// workers go idle for `idle`, and returns each worker's
 /// `cam_worker_park_ratio` gauge as a 0..=1 fraction.
 pub fn measure_idle_park_ratio(idle: Duration) -> Vec<f64> {
@@ -216,13 +198,12 @@ pub fn measure_idle_park_ratio(idle: Duration) -> Vec<f64> {
         ..RigConfig::default()
     });
     let registry = Arc::new(MetricsRegistry::new());
-    let workers = workers_for(ThreadModel::ThreadPerCore);
+    let workers = workers();
     let cam = CamContext::attach_observed(
         &rig,
         CamConfig {
             n_channels: N_CHANNELS,
             workers: Some(workers),
-            thread_model: ThreadModel::ThreadPerCore,
             ..CamConfig::default()
         },
         Observability::with_registry(Arc::clone(&registry)),
@@ -242,18 +223,14 @@ pub fn measure_idle_park_ratio(idle: Duration) -> Vec<f64> {
 
 /// Runs the full mode × load sweep plus the idle park-ratio measurement.
 pub fn run_mode_load_experiment(rounds: u64) -> ModeLoadReport {
-    let spec: [(&'static str, ThreadModel, bool); 3] = [
-        ("blocking", ThreadModel::CentralPoller, false),
-        ("pipelined", ThreadModel::CentralPoller, true),
-        ("thread_per_core", ThreadModel::ThreadPerCore, true),
-    ];
+    let spec: [(&'static str, bool); 2] = [("blocking", false), ("pipelined", true)];
     // Best trial per (mode, load), with trials interleaved across modes so
     // every mode samples the same noise regime on a shared runner.
     let mut best: Vec<Vec<Option<ModePoint>>> = vec![vec![None; LOADS.len()]; spec.len()];
     for (li, &load) in LOADS.iter().enumerate() {
         for _ in 0..TRIALS {
-            for (mi, &(_, model, pipelined)) in spec.iter().enumerate() {
-                let p = run_point_once(model, pipelined, load, rounds);
+            for (mi, &(_, pipelined)) in spec.iter().enumerate() {
+                let p = run_point_once(pipelined, load, rounds);
                 let slot = &mut best[mi][li];
                 if slot.as_ref().is_none_or(|b| p.rps > b.rps) {
                     *slot = Some(p);
@@ -264,9 +241,12 @@ pub fn run_mode_load_experiment(rounds: u64) -> ModeLoadReport {
     let modes = spec
         .iter()
         .zip(best)
-        .map(|(&(name, _, _), points)| ModeReport {
+        .map(|(&(name, _), points)| ModeReport {
             mode: name,
-            points: points.into_iter().map(|p| p.expect("TRIALS >= 1")).collect(),
+            points: points
+                .into_iter()
+                .map(|p| p.expect("TRIALS >= 1"))
+                .collect(),
         })
         .collect();
     let idle_park_per_worker = measure_idle_park_ratio(Duration::from_millis(800));
@@ -294,9 +274,9 @@ pub fn mode_load_section_json(report: &ModeLoadReport) -> String {
     let _ = writeln!(
         out,
         "    \"workload\": {{\"channels\": {N_CHANNELS}, \"ssds\": {N_SSDS}, \
-         \"engine_threads\": {ENGINE_THREADS}, \"tpc_workers\": {}, \
+         \"engine_threads\": {ENGINE_THREADS}, \"workers\": {}, \
          \"batch_requests\": {BATCH_REQS}, \"loads\": [{}]}},",
-        workers_for(ThreadModel::ThreadPerCore),
+        workers(),
         LOADS
             .iter()
             .map(ToString::to_string)
@@ -305,7 +285,7 @@ pub fn mode_load_section_json(report: &ModeLoadReport) -> String {
     );
     out.push_str("    \"modes\": {\n");
     for (i, m) in report.modes.iter().enumerate() {
-        let points = m.points.iter().map(|p| point(p)).collect::<Vec<_>>();
+        let points = m.points.iter().map(point).collect::<Vec<_>>();
         let _ = writeln!(
             out,
             "      \"{}\": [{}]{}",
@@ -317,12 +297,12 @@ pub fn mode_load_section_json(report: &ModeLoadReport) -> String {
     out.push_str("    },\n");
     let _ = writeln!(
         out,
-        "    \"top_load\": {{\"pipelined_rps\": {:.0}, \"thread_per_core_rps\": {:.0}, \
-         \"tpc_over_pipelined\": {:.4}, \"tpc_beats_pipelined\": {}}},",
+        "    \"top_load\": {{\"blocking_rps\": {:.0}, \"pipelined_rps\": {:.0}, \
+         \"pipelined_over_blocking\": {:.4}, \"pipelined_beats_blocking\": {}}},",
+        report.mode("blocking").top().rps,
         report.mode("pipelined").top().rps,
-        report.mode("thread_per_core").top().rps,
-        report.top_load_tpc_over_pipelined(),
-        report.top_load_tpc_over_pipelined() >= 1.0
+        report.top_load_pipelined_over_blocking(),
+        report.top_load_pipelined_over_blocking() >= 1.0
     );
     let per_worker = report
         .idle_park_per_worker
@@ -359,7 +339,7 @@ pub fn mode_load_tables(report: &ModeLoadReport) -> Vec<Table> {
         }
     }
     let mut idle = Table::new(
-        "Idle thread-per-core park ratio (parked share of the rolling window)",
+        "Idle engine park ratio (parked share of the rolling window)",
         &["worker", "park ratio"],
     );
     for (w, r) in report.idle_park_per_worker.iter().enumerate() {
@@ -400,7 +380,7 @@ mod tests {
     #[test]
     fn sweep_covers_every_mode_and_load_and_sections_cleanly() {
         let report = run_mode_load_experiment(12);
-        assert_eq!(report.modes.len(), 3);
+        assert_eq!(report.modes.len(), 2);
         for m in &report.modes {
             assert_eq!(m.points.len(), LOADS.len());
             for (p, &load) in m.points.iter().zip(LOADS.iter()) {
@@ -410,16 +390,9 @@ mod tests {
                 assert_eq!(p.batches, load as u64 * 12, "{}@{load} batches", m.mode);
             }
         }
-        // The engine-structure comparison the refactor is for. The unit
-        // test leaves headroom for debug-build and runner noise; the CI
-        // perf-gate job asserts the release-build ratio >= 1.0 from the
-        // JSON section.
-        let ratio = report.top_load_tpc_over_pipelined();
-        assert!(
-            ratio >= 0.8,
-            "thread-per-core collapsed vs pipelined poller: {ratio:.3}x"
-        );
-        // Idle workers park instead of spinning.
+        // The pipelined-over-blocking throughput ratio is a wall-clock
+        // ordering: the CI perf-gate job asserts it on a release build
+        // from the JSON section. Idle workers park instead of spinning.
         assert!(
             report.idle_park_ratio > IDLE_PARK_RATIO_FLOOR,
             "idle park ratio {:.3} <= {IDLE_PARK_RATIO_FLOOR}",
@@ -433,9 +406,8 @@ mod tests {
             "\"modes\"",
             "\"blocking\"",
             "\"pipelined\"",
-            "\"thread_per_core\"",
             "\"top_load\"",
-            "\"tpc_over_pipelined\"",
+            "\"pipelined_over_blocking\"",
             "\"idle\"",
             "\"park_ratio\"",
         ] {

@@ -285,9 +285,9 @@ pub fn render(
 }
 
 /// Every `cam_worker_park_ratio{worker}` gauge in the snapshot, as
-/// `(worker label, milli-ratio)` rows. The thread-per-core engine
-/// refreshes these at least every park bound (50 ms), so even an idle
-/// plane reports a current share of parked time.
+/// `(worker label, milli-ratio)` rows. The engine refreshes these at
+/// least every park bound (50 ms), so even an idle plane reports a
+/// current share of parked time.
 fn park_ratios(snap: &cam_telemetry::MetricsSnapshot) -> Vec<(String, u64)> {
     snap.gauges
         .iter()

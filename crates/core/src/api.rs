@@ -12,7 +12,7 @@ use cam_telemetry::{
     Observability, Stage, TelemetrySink,
 };
 
-use crate::engine::{ControlConfig, ControlPlane, ControlStats, ThreadModel};
+use crate::engine::{ControlConfig, ControlPlane, ControlStats};
 use crate::regions::{Channel, ChannelOp, PublishError};
 
 /// Configuration for [`CamContext::attach`] (`CAM_init`).
@@ -43,16 +43,9 @@ pub struct CamConfig {
     pub cmd_deadline_ns: Option<u64>,
     /// Pipelined reactor: workers keep commands from multiple batches in
     /// flight per SSD up to queue depth. Turn off for the blocking
-    /// group-at-a-time baseline (benchmarks only).
+    /// group-at-a-time baseline (benchmarks only) — the same
+    /// run-to-completion workers, admitting one group at a time.
     pub pipelined: bool,
-    /// Threading model of the control plane. The default
-    /// [`ThreadModel::ThreadPerCore`] runs lcore-style workers that own
-    /// their channels, plan inline, and park when idle;
-    /// [`ThreadModel::CentralPoller`] keeps the legacy poller + MPMC
-    /// fan-out engine (mode-comparison benchmarks, and workloads
-    /// calibrated against the poller's dispatch hop). Protocol decisions
-    /// are identical under both.
-    pub thread_model: ThreadModel,
     /// How long `synchronize_*` and [`BatchTicket::wait`] spin for region 4
     /// before giving up with [`CamError::SyncTimeout`] — a wedged control
     /// plane then surfaces as an error instead of a hung caller. `None` =
@@ -72,7 +65,6 @@ impl Default for CamConfig {
             retry_backoff_ns: 20_000,
             cmd_deadline_ns: None,
             pipelined: true,
-            thread_model: ThreadModel::default(),
             sync_timeout_ns: Some(10_000_000_000),
         }
     }
@@ -232,7 +224,6 @@ impl CamContext {
                 retry_backoff_ns: cfg.retry_backoff_ns,
                 cmd_deadline_ns: cfg.cmd_deadline_ns,
                 pipelined: cfg.pipelined,
-                thread_model: cfg.thread_model,
             },
             Arc::clone(&metrics),
             &obs,

@@ -1,6 +1,6 @@
 //! A token-based parker for idle workers.
 //!
-//! Each thread-per-core worker owns one [`Parker`]; doorbell publishes,
+//! Each worker owns one [`Parker`]; doorbell publishes,
 //! cross-worker ring pushes and `stop` all call [`unpark`](Parker::unpark)
 //! on the owning worker. The token makes the protocol lost-wakeup-safe:
 //! an unpark that races a worker *about to* park leaves the token set, so

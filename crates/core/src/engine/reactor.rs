@@ -1,36 +1,30 @@
 //! The threaded worker shell around [`WorkerCore`].
 //!
-//! [`execute`], [`accept`] and the per-SSD reap path are shared by both
-//! threaded engines: the legacy central-poller workers ([`worker_loop`])
-//! and the thread-per-core shards (`shard`). Each worker thread owns one
-//! private queue pair per SSD, a [`WorkerCore`] protocol state machine,
-//! and its own [`LaneHealth`] machines (worker-owned state — no per-lane
-//! mutex; the lane-health CI workloads run single-worker configurations,
-//! where the sequence is identical to a global machine's). The loop is
-//! pure driver glue: feed accepted groups in, [`pump`](WorkerCore::pump)
-//! at the wall clock, reap CQEs into [`on_cqe`](WorkerCore::on_cqe), and
-//! [`execute`] whatever [`Command`]s come back — SQE pushes, doorbell
-//! rings, metrics, flight-recorder events, batch retirement. Every
-//! submission, retry, and closure *decision* is the protocol's; the DES
-//! driver executes the same commands against a device timing model
-//! instead.
+//! [`accept`], [`execute`] and [`reap`] are the worker-side half of the
+//! engine; the run-to-completion loop (`shard`) calls them over each
+//! worker's private queue pairs. Each worker thread owns one private queue
+//! pair per SSD, a [`WorkerCore`] protocol state machine, and its own
+//! [`LaneHealth`] machines (worker-owned state — no per-lane mutex; the
+//! lane-health CI workloads run single-worker configurations, where the
+//! sequence is identical to a global machine's). This is pure driver
+//! glue: feed accepted groups in, [`pump`](WorkerCore::pump) at the wall
+//! clock, reap CQEs into [`on_cqe`](WorkerCore::on_cqe), and [`execute`]
+//! whatever [`Command`]s come back — SQE pushes, doorbell rings, metrics,
+//! flight-recorder events, batch retirement. Every submission, retry, and
+//! closure *decision* is the protocol's; the DES driver executes the same
+//! commands against a device timing model instead.
 //!
 //! A `Submit` command is executed infallibly: the protocol admits a
 //! command only when the lane's inflight table (sized to the queue depth)
 //! has room, and the queue pair admits exactly `depth − in_flight` staged
 //! SQEs — so admission there implies SQ room here.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
 
 use cam_nvme::spec::{Cqe, Sqe};
 use cam_nvme::QueuePair;
-use cam_protocol::{
-    op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore,
-};
+use cam_protocol::{op_index, ChannelOp, Command, GroupSpec, HealthConfig, LaneHealth, WorkerCore};
 use cam_telemetry::{EventKind, Stage};
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 
 use super::retire::retire_batch;
 use super::Shared;
@@ -53,60 +47,6 @@ pub(super) fn drain_lane_health(sh: &Shared, health: &mut [LaneHealth]) {
             super::emit_lane_transition(sh, t, now);
         }
     }
-}
-
-pub(super) fn worker_loop(sh: &Shared, wid: usize, rx: Receiver<GroupSpec>) {
-    if let Some(rec) = &sh.recorder {
-        rec.name_current_thread(&format!("cam-worker{wid}"));
-    }
-    let qps: Vec<Arc<QueuePair>> = (0..sh.n_ssds)
-        .map(|ssd| Arc::clone(&sh.qps[ssd][wid]))
-        .collect();
-    // This thread is the only host-side driver of its queue-pair column
-    // for the process lifetime; claim them so a sharding bug panics.
-    for qp in &qps {
-        qp.bind_host_owner();
-    }
-    let mut core = WorkerCore::new(sh.n_ssds, qps[0].depth(), sh.retry);
-    let mut health = new_lane_health(sh.n_ssds);
-    let mut out: Vec<Command> = Vec::new();
-    let mut cqes: Vec<Cqe> = Vec::new();
-    loop {
-        let mut progress = false;
-        if core.idle() {
-            match rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(spec) => {
-                    accept(sh, wid, &mut core, spec);
-                    progress = true;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if sh.stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        if sh.pipelined {
-            // Pipelining: pull every already-dispatched group in before
-            // submitting, so commands from several batches share the queue
-            // depth. The blocking baseline skips this and runs one group at
-            // a time — same code path, depth ≤ one group.
-            while let Ok(spec) = rx.try_recv() {
-                accept(sh, wid, &mut core, spec);
-                progress = true;
-            }
-        }
-        core.pump(sh.clock.now_ns(), &mut out);
-        progress |= !out.is_empty();
-        execute(sh, wid, &qps, &mut health, &mut out);
-        progress |= reap(sh, &qps, &mut core, &mut health, &mut out, &mut cqes, wid);
-        if !progress {
-            std::thread::yield_now();
-        }
-    }
-    drain_lane_health(sh, &mut health);
 }
 
 /// One reap pass over every queue pair: drains available CQEs into the

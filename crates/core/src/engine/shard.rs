@@ -2,9 +2,9 @@
 //!
 //! Worker *w* of *W* owns channels `ch % W` and the per-SSD lanes
 //! `ssd % active` outright: it performs doorbell pickup and planning
-//! inline ([`dispatch::poll_channel`] — no central poller hop), routes
-//! each per-SSD group to the owning worker over the bounded SPSC fabric
-//! (`rings[dst][src]`), and runs the shared reactor machinery
+//! inline ([`dispatch::poll_channel`]), routes each per-SSD group to the
+//! owning worker over the bounded SPSC fabric (`rings[dst][src]`), and
+//! runs the reactor machinery
 //! ([`reactor::accept`]/[`reactor::execute`]/[`reactor::reap`]) over its
 //! private queue pairs. Groups for its own SSDs skip the fabric and go
 //! straight into the local inbox.
@@ -13,8 +13,8 @@
 //! nothing actionable, the worker parks on its [`Parker`] — woken by
 //! doorbell publishes on owned channels (channel wakers), ring pushes
 //! from peer workers, and stop. The parked-time share is exported as
-//! `cam_worker_park_ratio{worker}` (milli-units, windowed), so the
-//! idle-burn win over the legacy spin loop is observable.
+//! `cam_worker_park_ratio{worker}` (milli-units, windowed), so an idle
+//! engine's CPU burn is observable.
 //!
 //! [`Parker`]: super::park::Parker
 //! [`WorkerCore::park_hint`]: cam_protocol::WorkerCore::park_hint
@@ -130,9 +130,7 @@ pub(super) fn shard_loop(sh: &Shared, wid: usize) {
                     let now = sh.clock.now_ns();
                     if t > now {
                         let before = now;
-                        sh.parkers[wid].park_timeout(
-                            Duration::from_nanos(t - now).min(MAX_PARK),
-                        );
+                        sh.parkers[wid].park_timeout(Duration::from_nanos(t - now).min(MAX_PARK));
                         parked_ns = sh.clock.now_ns().saturating_sub(before);
                     } else {
                         std::thread::yield_now();

@@ -28,10 +28,12 @@
 //!
 //! ## Control plane (§ III-A)
 //!
-//! A persistent CPU polling thread watches doorbells and dispatches batches
-//! to worker threads; each worker owns the queue pairs of its SSDs (no locks
-//! in the I/O path), submits the whole batch with one doorbell per SSD, and
-//! polls completions. A [`DynamicScaler`] adjusts the number of active
+//! Persistent run-to-completion CPU worker threads watch the doorbells of
+//! the channels they own, plan each batch inline, and hand every per-SSD
+//! group to the worker owning that SSD over a bounded SPSC ring. Each
+//! worker owns the queue pairs of its SSDs (no locks in the I/O path),
+//! submits the whole batch with one doorbell per SSD, polls completions,
+//! and parks when idle. A [`DynamicScaler`] adjusts the number of active
 //! workers between `N/4` and `N/2` for `N` SSDs from the observed
 //! compute:I/O ratio of recent batches.
 //!
@@ -76,7 +78,7 @@ mod scaler;
 
 pub use api::{BatchTicket, CamConfig, CamContext, CamDevice, CamError};
 pub use backend::CamBackend;
-pub use engine::{ControlStats, ThreadModel};
+pub use engine::ControlStats;
 pub use pipeline::DoubleBuffer;
 pub use regions::{Channel, ChannelOp, PublishError};
 pub use scaler::DynamicScaler;

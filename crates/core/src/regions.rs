@@ -51,15 +51,14 @@ pub struct Channel {
     acked_errors: AtomicU64,
     /// Telemetry: when the current batch's doorbell was rung, on the
     /// [`cam_telemetry::clock`] timeline. Stamped just before the region-3
-    /// release-store, so the poller reads a coherent value.
+    /// release-store, so the polling worker reads a coherent value.
     published_ns: AtomicU64,
     /// Guards region 1+2 writes: the protocol has a single leading thread,
     /// but a racing misuse must fail with `Busy`, not corrupt the regions.
     publishing: std::sync::atomic::AtomicBool,
     /// Invoked after every doorbell publish — the control plane installs a
     /// hook that unparks the worker owning this channel, so an idle
-    /// (parked) thread-per-core engine wakes without polling. `None` until
-    /// installed; the legacy central-poller engine installs nothing.
+    /// (parked) engine wakes without polling. `None` until installed.
     waker: parking_lot::Mutex<Option<std::sync::Arc<dyn Fn() + Send + Sync>>>,
 }
 

@@ -9,8 +9,8 @@
 //!
 //! | stage    | component       | what the batch was waiting on          |
 //! |----------|-----------------|----------------------------------------|
-//! | pickup   | `doorbell_wait` | the CPU poller to notice the doorbell  |
-//! | dispatch | `dispatch`      | the poller to fan groups out to workers|
+//! | pickup   | `doorbell_wait` | a CPU worker to notice the doorbell    |
+//! | dispatch | `dispatch`      | planning + handoff to the SSD's worker |
 //! | submit   | `lane_wait`     | queue-pair depth / CPU submit cost     |
 //! | complete | `ssd_service`   | the device (and host fabric) itself    |
 //! | retire   | `retire`        | the last worker's region-4 write       |

@@ -48,7 +48,7 @@ pub enum EventKind {
         /// Requests in the batch.
         requests: u32,
     },
-    /// The CPU poller picked the batch up.
+    /// A CPU worker picked the batch up from the doorbell.
     BatchPickup {
         /// Channel index.
         channel: u16,

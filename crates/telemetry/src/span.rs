@@ -5,7 +5,7 @@
 /// the end of the previous stage:
 ///
 /// ```text
-/// GPU doorbell ──Pickup──▶ poller ──Dispatch──▶ worker ──Submit──▶ SQ
+/// GPU doorbell ──Pickup──▶ owning worker ──Dispatch──▶ SSD's worker ──Submit──▶ SQ
 ///      SQ ──Complete──▶ last CQE ──Retire──▶ region-4 retire
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
